@@ -63,13 +63,17 @@ double best_of(const std::vector<double>& v, bool lower_is_better);
 class Stage {
  public:
   virtual ~Stage() = default;
-  /// Builds and compiles what the stage needs and warms up its lazily
-  /// built state (all counted in setup_s).
+  /// Builds and compiles what the stage needs and starts its service
+  /// (all counted in setup_s).
   virtual void setup(Run& run, Role role) = 0;
+  /// Untimed warm-up of lazily built state, after setup_s is taken.
+  virtual void warm_up(Run&) {}
   /// One timed repetition (a whole round of the stage's operations).
   virtual void repeat(Run& run) = 0;
   /// A fixed number of repetitions per run, or 0 for as many as fit.
   virtual int fixed_repeats() const { return 0; }
+  /// The fewest repetitions that give every metric of the stage a value.
+  virtual int min_repeats() const { return 1; }
   /// Output checks against host-side computations (untimed).  In a
   /// traced run this also times the direct per-layer probes.
   virtual void check(Run& run) = 0;

@@ -3,11 +3,12 @@
 //   perfbench --workload power|serve|analyze --seed N --seconds S
 //             --trace 0|1
 //
-// One process, at most four threads (this one, two service workers, and
+// One process, at most three threads (this one, one service worker, and
 // one extra power-engine worker while a measurement runs).  Every run
-// sets up, then runs all three stages -- the workload's own stage for
-// most of the run, the other two for a short fixed share -- checks the
-// outputs against host arithmetic, and prints one JSON line last:
+// sets up, warms up, then runs all three stages -- the workload's own
+// stage for most of the run, the other two for a short fixed share --
+// checks the outputs against host arithmetic, and prints one JSON line
+// last:
 //
 //   {"correct":true,"attempted":N,"failed":0,"metrics":{...}}
 //
@@ -52,7 +53,7 @@ namespace {
 
 /// Share of the measured time a companion stage gets; the workload's own
 /// stage gets the rest.
-constexpr double kCompanionShare = 0.2;
+constexpr double kCompanionShare = 0.15;
 
 int usage() {
   std::fprintf(stderr,
@@ -102,11 +103,15 @@ int run_benchmark(const std::string& workload, std::uint64_t seed,
     for (Entry& e : stages) e.stage->setup(run, role(e));
   }
   const double setup_s = now_s();
+  {
+    Span s(run.trace, "warm_up");
+    for (Entry& e : stages) e.stage->warm_up(run);
+  }
 
   // Interleave the stages' repetitions: always run the stage furthest
   // below its share of the time measured so far, until --seconds have
-  // passed, every stage has run at least once and every fixed-count
-  // stage has run all its repetitions.
+  // passed, every stage has run its minimum number of repetitions and
+  // every fixed-count stage has run all its repetitions.
   {
     Span s(run.trace, "measure");
     const double t_end = now_s() + seconds;
@@ -115,11 +120,12 @@ int run_benchmark(const std::string& workload, std::uint64_t seed,
     for (;;) {
       int next = -1;
       double lag = 0.0;
-      bool fixed_done = true;
+      bool all_done = true;
       for (int i = 0; i < 3; ++i) {
         const int fixed = stages[i].stage->fixed_repeats();
         if (fixed > 0 && reps[i] >= fixed) continue;
-        if (fixed > 0) fixed_done = false;
+        if (fixed > 0 || reps[i] < stages[i].stage->min_repeats())
+          all_done = false;
         const double share = role(stages[i]) == Role::kMain
                                  ? 1.0 - 2.0 * kCompanionShare
                                  : kCompanionShare;
@@ -129,9 +135,7 @@ int run_benchmark(const std::string& workload, std::uint64_t seed,
           lag = used;
         }
       }
-      if (next < 0 || (now_s() >= t_end && fixed_done &&
-                       std::min({reps[0], reps[1], reps[2]}) >= 1))
-        break;
+      if (next < 0 || (now_s() >= t_end && all_done)) break;
       const double t0 = now_s();
       stages[next].stage->repeat(run);
       busy[next] += now_s() - t0;

@@ -1,17 +1,23 @@
 // analyze stage: the roster-tool flows on a fixed subset of jobs.
 //
-// Per job and round: the mfm_opt flow on the combinational build (sweep,
-// rewrite, sweep again, then the end-to-end equivalence proof against the
-// original), a stuck-at fault campaign on the pipelined build (the
-// mfm_faults flow), and static plus measured glitch analysis (the
-// mfm_glitch flow).  The sweep's confirmation stage, the rewriter, the
+// A repetition is one step: the mfm_opt flow on one job's combinational
+// build (sweep, rewrite, sweep again, then the end-to-end equivalence
+// proof against the original), then over every job either a stuck-at
+// fault campaign on the pipelined build (the mfm_faults flow; even
+// steps) or static plus measured glitch analysis (the mfm_glitch flow;
+// odd steps).  A round is one step per job.  The scheduler interleaves
+// the other stages between steps, so the campaigns and glitch analyses,
+// short next to the sweeps, are sampled across the whole run rather than
+// in bursts.  The sweep's confirmation stage, the rewriter, the
 // equivalence check and PackSim force() do the work here, with no queue
 // and little EventSim.  The main subset includes mf/fp64, whose sweep
 // confirmation stage carries the largest candidate load in the roster;
 // the companion subset keeps to small units so it fits a short share of
 // a run.  Sweep and rewrite seeds are fixed, so the area saved is the
 // same on every run; the fault vectors, glitch stimulus and the host
-// checks of the optimized circuits follow the run's seed.
+// checks of the optimized circuits follow the run's seed.  The fault
+// campaign runs without early exit and without classifying, so the
+// amount of work does not follow it.
 #include <memory>
 #include <random>
 #include <string>
@@ -44,12 +50,8 @@ const std::vector<std::string> kMainJobs = {"mult8", "radix16-64",
 const std::vector<std::string> kCompanionJobs = {"mult8", "fpmul-b32",
                                                  "reduce64to32"};
 constexpr std::uint64_t kFlowSeed = 0x0B7;  // mfm_opt's default seed
-constexpr int kFaultVectors = 8;
+constexpr int kFaultVectors = 4;
 constexpr int kMainRounds = 2;
-// The campaigns and glitch analyses are short next to the sweeps, so a
-// round repeats them: more samples of them for the fastest-of statistic.
-constexpr int kFaultRepeats = 2;
-constexpr int kGlitchRepeats = 3;
 constexpr int kGlitchCycles = 64;
 constexpr int kReplaySites = 12;      // fault verdicts replayed per job
 constexpr int kHostCheckPasses = 4;   // 64-lane passes per optimized unit
@@ -97,20 +99,26 @@ class AnalyzeStage final : public Stage {
 
   /// A main-subset round takes most of a run's length (mf/fp64's sweeps
   /// alone take seconds), so a run holds exactly kMainRounds of them:
-  /// the round count, and with it the statistic, is the same on every
+  /// the step count, and with it the statistic, is the same on every
   /// run.
   int fixed_repeats() const override {
-    return role_ == Role::kMain ? kMainRounds : 0;
+    return role_ == Role::kMain
+               ? kMainRounds * static_cast<int>(jobs_.size())
+               : 0;
   }
 
+  /// One round, so every job has been optimized.
+  int min_repeats() const override { return static_cast<int>(jobs_.size()); }
+
   void repeat(Run& run) override {
-    Span round(run.trace, "analyze.round");
-    for (Job& j : jobs_) optimize(run, j);
-    for (int k = 0; k < kFaultRepeats; ++k)
+    Span step(run.trace, "analyze.step");
+    optimize(run, jobs_[steps_ % jobs_.size()]);
+    if (steps_ % 2 == 0) {
       for (Job& j : jobs_) faults(run, j);
-    for (int k = 0; k < kGlitchRepeats; ++k)
+    } else {
       for (Job& j : jobs_) glitch(run, j);
-    ++rounds_;
+    }
+    ++steps_;
   }
 
   void check(Run& run) override {
@@ -142,11 +150,12 @@ class AnalyzeStage final : public Stage {
     run.end_to_end["analyze.faults_s"] = {flt, "s"};
     run.end_to_end["analyze.glitch_s"] = {gl, "s"};
     run.end_to_end["analyze.area_saved_nand2"] = {area, "NAND2"};
-    run.info.push_back("analyze: " + std::to_string(rounds_) +
-                       " round(s) over " + names);
+    run.info.push_back("analyze: " + std::to_string(steps_) +
+                       " steps over " + names);
     if (!run.trace.on()) return;
     const Trace& t = run.trace;
-    const double r = rounds_;
+    const double r =
+        static_cast<double>(steps_) / static_cast<double>(jobs_.size());
     const auto per_round = [&](const char* span) { return t.self_s(span) / r; };
     const double cand = t.counter("sweep", "candidates") / r;
     const double proven = t.counter("sweep", "proven") / r;
@@ -238,6 +247,10 @@ class AnalyzeStage final : public Stage {
                                              j.pipe_pins());
     mfm::netlist::FaultCampaignOptions opt;
     opt.cycles = j.pipe->latency_cycles;
+    // Every vector runs for every fault group, and undetected faults are
+    // not classified, so the work does not depend on the seed's verdicts.
+    opt.early_exit = false;
+    opt.classify_undetected = false;
     const mfm::netlist::FaultCampaignReport rep = mfm::netlist::run_fault_campaign(
         run.cache.compiled(j.spec, BuildMode::kPipelined), sites, vectors, opt);
     j.fault_s.push_back(now_s() - t0);
@@ -254,7 +267,7 @@ class AnalyzeStage final : public Stage {
       j.detected = rep.site_detected;
     } else {
       run.check(rep.site_detected == j.detected,
-                "analyze: " + j.name + " fault verdicts changed between rounds");
+                "analyze: " + j.name + " fault verdicts changed between repetitions");
     }
   }
 
@@ -360,7 +373,7 @@ class AnalyzeStage final : public Stage {
 
   Role role_ = Role::kCompanion;
   std::vector<Job> jobs_;
-  int rounds_ = 0;
+  std::size_t steps_ = 0;
 };
 
 }  // namespace

@@ -8,7 +8,9 @@
 // work; PackSim and the sweep do none.  The two rates keep quiet and
 // glitch-heavy simulation apart, so an event-engine change that trades
 // one for the other shows.
+#include <algorithm>
 #include <iterator>
+#include <random>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "netlist/sim_event.h"
 #include "netlist/sim_level.h"
 #include "power/measure.h"
+#include "power/workloads.h"
 
 namespace perfbench {
 
@@ -28,9 +31,23 @@ namespace {
 
 using mfm::power::Workload;
 
+/// The power engine's per-shard seed (power/measure.cpp), so the direct
+/// EventSim passes replay measure_*'s exact operand stream.
+std::uint64_t engine_shard_seed(std::uint64_t seed, int s) {
+  std::uint64_t x = seed + static_cast<std::uint64_t>(s) * 0x9E3779B97F4A7C15ull;
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 constexpr int kVectors = 64;  // two shards of power::kShardVectors
 constexpr int kThreads = 2;
 constexpr double kFmaxMhz = 880.0;  // the paper's fmax; scales mW@fmax only
+// Traced run: passes of the 1-thread measure_* call and of the directly
+// driven EventSim per configuration; the best of each is compared.
+constexpr int kOverheadPasses = 3;
+constexpr std::uint64_t kMfSeed = 0x5EED;  // measure_mf_parallel's stream
 
 /// One measured configuration: a format of the mf unit or a multiplier.
 struct Config {
@@ -77,8 +94,11 @@ class PowerStage final : public Stage {
       r16_cc_ =
           std::make_unique<mfm::netlist::CompiledCircuit>(*r16_.circuit);
     }
-    // Warm-up: one untimed call per configuration; its totals are the
-    // reference every timed repetition must reproduce.
+  }
+
+  /// One untimed call per configuration; its totals are the reference
+  /// every timed repetition must reproduce.
+  void warm_up(Run& run) override {
     for (std::size_t i = 0; i < kNumConfigs; ++i)
       first_[i] = run_measure(run, i, kThreads, "power.warmup");
   }
@@ -100,13 +120,13 @@ class PowerStage final : public Stage {
     for (std::size_t i = 0; i < kNumConfigs; ++i) {
       // EventSim's functional transitions on the benchmark's own operand
       // stream equal the zero-delay toggles LevelSim counts on it.
-      const double direct_s_per_event = direct_event_check(run, i);
+      functional_check(run, i);
       // measure_* at 1 thread must reproduce the 2-thread totals exactly.
-      const Totals one = run_measure(run, i, 1, "power.measure_1t",
-                                     direct_s_per_event);
+      const Totals one = run_measure(run, i, 1, "power.measure_1t");
       run.check(one == first_[i], std::string("power: ") + kConfigs[i].name +
                                       " totals differ between 1 and 2 "
                                       "threads");
+      if (run.trace.on()) overhead_probe(run, i);
     }
     // The paper's ordering: int64 > fp64 > fp32x2 > fp32x1.
     for (std::size_t i = 0; i + 1 < 4; ++i)
@@ -135,19 +155,15 @@ class PowerStage final : public Stage {
     run.per_layer["event.events_per_s"] = {ev / ev_s, "events/s"};
     run.per_layer["event.events_per_vector"] = {
         ev / t.counter("event.sim", "vectors"), "events/vector"};
-    // The measure_* time at 1 thread minus what the directly driven
-    // EventSim needs for the same number of events, per configuration.
+    // Per configuration, the fastest 1-thread measure_* call minus the
+    // fastest direct EventSim pass over the same stream, summed.
     run.per_layer["power.engine_overhead_s"] = {
-        t.self_s("power.measure_1t") -
-            t.counter("power.measure_1t", "direct_s"),
-        "s"};
+        t.counter("power.overhead_probe", "overhead_s"), "s"};
   }
 
  private:
-  /// One measure_* call.  @p direct_s_per_event, when known, prices the
-  /// call's events at the directly timed EventSim rate (span counter).
-  Totals run_measure(Run& run, std::size_t i, int threads, const char* span,
-                     double direct_s_per_event = 0.0) {
+  /// One measure_* call.
+  Totals run_measure(Run& run, std::size_t i, int threads, const char* span) {
     const Config& c = kConfigs[i];
     Span s(run.trace, span);
     Totals t;
@@ -162,16 +178,73 @@ class PowerStage final : public Stage {
       t = {p.toggles, p.functional, p.events, p.report.total_mw()};
     }
     s.count("events", static_cast<double>(t.events));
-    s.count("direct_s", static_cast<double>(t.events) * direct_s_per_event);
     return t;
   }
 
-  /// Drives EventSim directly on a seeded stream and diffs its functional
-  /// transitions against LevelSim's; returns EventSim's seconds per event.
-  double direct_event_check(Run& run, std::size_t i) {
+  const mfm::netlist::CompiledCircuit& compiled(std::size_t i) const {
+    return kConfigs[i].pipelined_mf ? *mf_cc_ : (i == 4 ? *r4_cc_ : *r16_cc_);
+  }
+
+  /// Traced run: the engine's own work, EventSim cycles over measure_*'s
+  /// operand stream (the same shards, seeds and vector budget), driven
+  /// directly and timed against the 1-thread measure_* call.  The
+  /// difference of the fastest passes is what the engine adds: the
+  /// per-call compile, simulator construction and power report.
+  void overhead_probe(Run& run, std::size_t i) {
     const Config& c = kConfigs[i];
-    const mfm::netlist::CompiledCircuit& cc =
-        c.pipelined_mf ? *mf_cc_ : (i == 4 ? *r4_cc_ : *r16_cc_);
+    Span probe(run.trace, "power.overhead_probe");
+    double best_measure = 0.0, best_direct = 0.0;
+    double measure_events = 0.0, direct_events = 0.0;
+    for (int pass = 0; pass < kOverheadPasses; ++pass) {
+      double t0 = now_s();
+      measure_events =
+          static_cast<double>(run_measure(run, i, 1, "power.measure_1t").events);
+      const double m = now_s() - t0;
+      std::vector<std::unique_ptr<mfm::netlist::EventSim>> sims;
+      for (int s = 0; s * mfm::power::kShardVectors < kVectors; ++s)
+        sims.push_back(std::make_unique<mfm::netlist::EventSim>(
+            compiled(i), mfm::netlist::TechLib::lp45()));
+      Span span(run.trace, "event.sim");
+      t0 = now_s();
+      for (std::size_t s = 0; s < sims.size(); ++s) {
+        const std::uint64_t seed = engine_shard_seed(
+            c.pipelined_mf ? kMfSeed : run.seed, static_cast<int>(s));
+        mfm::power::OperandGen mf_gen(c.workload, seed);
+        std::mt19937_64 rng(seed);
+        for (int v = 0; v < mfm::power::kShardVectors; ++v) {
+          if (c.pipelined_mf) {
+            const mfm::power::OpPair op = mf_gen.next();
+            sims[s]->set_bus(mf_.a, op.a);
+            sims[s]->set_bus(mf_.b, op.b);
+            sims[s]->set_bus(mf_.frmt, mfm::mf::frmt_bits(op.format));
+          } else {
+            const auto& unit = i == 4 ? r4_ : r16_;
+            sims[s]->set_bus(unit.x, rng());
+            sims[s]->set_bus(unit.y, rng());
+          }
+          sims[s]->cycle();
+        }
+      }
+      const double d = now_s() - t0;
+      direct_events = 0.0;
+      for (const auto& sim : sims)
+        direct_events += static_cast<double>(sim->events_processed());
+      span.count("events", direct_events);
+      span.count("vectors", kVectors);
+      best_measure = pass == 0 ? m : std::min(best_measure, m);
+      best_direct = pass == 0 ? d : std::min(best_direct, d);
+    }
+    // The streams match today; pricing by the event ratio keeps the
+    // figure meaningful if the engine's stream drifts from this copy.
+    probe.count("overhead_s",
+                best_measure - best_direct * measure_events / direct_events);
+  }
+
+  /// Drives EventSim on the benchmark's own seeded stream and diffs its
+  /// functional transitions against LevelSim's zero-delay toggles.
+  void functional_check(Run& run, std::size_t i) {
+    const Config& c = kConfigs[i];
+    const mfm::netlist::CompiledCircuit& cc = compiled(i);
     host::OperandGen gen(host::mix_seed(run.seed, std::string("power/") + c.name));
     std::vector<mfm::serve::Op> ops(kVectors);
     for (auto& op : ops) op = gen.op(c.kind);
@@ -193,17 +266,9 @@ class PowerStage final : public Stage {
     };
 
     mfm::netlist::EventSim ev(cc, mfm::netlist::TechLib::lp45());
-    double sim_s = 0.0;
-    {
-      Span s(run.trace, "event.sim");
-      const double t0 = now_s();
-      for (const auto& op : ops) {
-        drive(ev, op);
-        ev.cycle();
-      }
-      sim_s = now_s() - t0;
-      s.count("events", static_cast<double>(ev.events_processed()));
-      s.count("vectors", kVectors);
+    for (const auto& op : ops) {
+      drive(ev, op);
+      ev.cycle();
     }
 
     mfm::netlist::LevelSim lv(cc);
@@ -227,7 +292,6 @@ class PowerStage final : public Stage {
               std::string("power: ") + c.name +
                   " EventSim functional transitions differ from LevelSim's "
                   "zero-delay toggles");
-    return sim_s / static_cast<double>(ev.events_processed());
   }
 
   mfm::mf::MfUnit mf_;

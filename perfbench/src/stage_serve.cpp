@@ -2,16 +2,18 @@
 //
 // One client thread (the main thread) keeps kWindow requests outstanding
 // against a service with kWorkers workers.  Requests go to all 17 roster
-// jobs: per block, kSmall requests of 1-8 ops (they carry requests/s
-// and the latency percentiles) and kLarge multi-batch requests of 65-320
-// ops (they carry most of the mults/s); unpinned mf requests mix formats
-// per op.  PackSim evaluation, 64-lane packing and queue dispatch do all
-// the work; EventSim does none.
+// jobs: per block and job, kSmallPerJob requests of 1-8 ops (they carry
+// requests/s and the latency percentiles) and kLargePerJob multi-batch
+// requests of 65-289 ops (they carry most of the mults/s); unpinned mf
+// requests mix formats per op.  PackSim evaluation, 64-lane packing and
+// queue dispatch do all the work; EventSim does none.
 //
-// A block is one fixed make-up of requests (drawn once per run from the
-// seed, with fresh operands in every block); each block's rates and
-// latency percentiles are one repetition.  Every lane of every answer is
-// checked against host arithmetic after the block's clock has stopped.
+// A block is one fixed make-up of requests: every job gets the same
+// request sizes, in an order shuffled by a fixed seed, so every run does
+// the same work.  The run's seed draws only the operands, fresh in every
+// block.  Each block's rates and latency percentiles are one repetition.
+// Every lane of every answer is checked against host arithmetic after
+// the block's clock has stopped.
 #include <algorithm>
 #include <condition_variable>
 #include <future>
@@ -37,8 +39,9 @@ using mfm::serve::Request;
 
 constexpr int kWorkers = 1;
 constexpr int kWindow = 8;
-constexpr int kSmall = 2048;  // so a block's p99 has 20 samples beyond it
-constexpr int kLarge = 128;
+constexpr int kSmallPerJob = 120;  // sizes 1-8, 15 of each
+constexpr int kLargePerJob = 8;    // sizes 65, 97, ..., 289
+constexpr std::uint64_t kShapeSeed = 0x5E7E;  // the order of a block
 constexpr int kProbeEvals = 256;
 constexpr int kWindowOneRequests = 17 * 16;
 
@@ -67,14 +70,12 @@ class ServeStage final : public Stage {
     idle_upper_.assign(jobs_.size(), host::kUnsetLane);
     gen_ = std::make_unique<host::OperandGen>(host::mix_seed(run.seed, "serve/ops"));
 
-    std::mt19937_64 rng(host::mix_seed(run.seed, "serve/shapes"));
-    for (int i = 0; i < kSmall + kLarge; ++i) {
-      Shape s;
-      s.job = rng() % jobs_.size();
-      s.ops = i < kSmall ? 1 + static_cast<int>(rng() % 8)
-                         : 65 + static_cast<int>(rng() % 256);
-      shapes_.push_back(s);
+    for (std::size_t job = 0; job < jobs_.size(); ++job) {
+      for (int k = 0; k < kSmallPerJob; ++k) shapes_.push_back({job, 1 + k % 8});
+      for (int k = 0; k < kLargePerJob; ++k)
+        shapes_.push_back({job, 65 + 32 * k});
     }
+    std::mt19937_64 rng(kShapeSeed);
     std::shuffle(shapes_.begin(), shapes_.end(), rng);
 
     Span s(run.trace, "serve.start");
@@ -82,9 +83,10 @@ class ServeStage final : public Stage {
     opt.threads = kWorkers;
     opt.mode = mfm::roster::BuildMode::kCombinational;
     service_ = std::make_unique<mfm::serve::MultiplyService>(run.cache, opt);
-    // Warm-up: one untimed block builds the worker's per-unit PackSims.
-    run_block(run, /*timed=*/false);
   }
+
+  /// One untimed block builds the worker's per-unit PackSims.
+  void warm_up(Run& run) override { run_block(run, /*timed=*/false); }
 
   void repeat(Run& run) override { run_block(run, /*timed=*/true); }
 
@@ -102,7 +104,7 @@ class ServeStage final : public Stage {
     std::vector<double> mults, reqs, p50, p99;
     for (const Block& b : blocks_) {
       mults.push_back(b.ops / b.seconds);
-      reqs.push_back((kSmall + kLarge) / b.seconds);
+      reqs.push_back(static_cast<double>(shapes_.size()) / b.seconds);
       p50.push_back(b.p50_s * 1e3);
       p99.push_back(b.p99_s * 1e3);
     }
@@ -114,9 +116,10 @@ class ServeStage final : public Stage {
     run.end_to_end["serve.latency_p99_ms"] = {best_of(p99, true), "ms"};
     run.info.push_back(
         "serve: " + std::to_string(blocks_.size()) + " blocks of " +
-        std::to_string(kSmall + kLarge) + " requests, window " +
+        std::to_string(shapes_.size()) + " requests, window " +
         std::to_string(kWindow) + ", worker threads " +
-        std::to_string(kWorkers) + "; latency p50/p99 per block over " + std::to_string(kSmall) +
+        std::to_string(kWorkers) + "; latency p50/p99 per block over " +
+        std::to_string(jobs_.size() * kSmallPerJob) +
         " small-request samples, best of " +
         std::to_string(blocks_.size()) + " blocks");
     if (!run.trace.on()) return;
